@@ -35,11 +35,22 @@ echo "$REPLAY"
 echo "$REPLAY" | grep -q " 0 fresh measurement(s)" \
   || { echo "replay client performed fresh measurements"; exit 1; }
 
+# The live daemon's registry: session counter and latency histogram,
+# each counter under one name.
+LIVE=$("$TC" metrics "$SOCK")
+echo "$LIVE" | grep -E '^(iolb_sessions_total|iolb_service_fresh_measurements_total) '
+echo "$LIVE" | grep -q '^iolb_session_us_count ' \
+  || { echo "live metrics carry no session latency histogram"; exit 1; }
+DUPES=$(echo "$LIVE" | grep -v '^#' | awk '{ print $1 }' | sort | uniq -d)
+[ -z "$DUPES" ] || { echo "live metrics repeat names: $DUPES"; exit 1; }
+
 # Clean shutdown: exit 0 and the socket file is gone.
 "$TC" stop "$SOCK"
 wait "$SERVE_PID"
 [ ! -e "$SOCK" ] || { echo "socket file survived shutdown"; exit 1; }
 
-# The directory the daemon persisted is loadable and non-trivial.
+# The directory the daemon persisted is loadable and non-trivial, and
+# its sidecar reads the same through serve-stats and metrics.
 "$TC" serve-stats "$DIR"
+.github/scripts/check-stats-metrics.sh "$TC" "$DIR"
 echo "daemon smoke OK"

@@ -34,7 +34,7 @@ use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;
 use iolb_records::RecordStore;
 use iolb_service::{
-    Backend, Daemon, DaemonConfig, DirLock, EvictionPolicy, FleetRouter, MetricsSnapshot, PeerAddr,
+    load_stats, Backend, Daemon, DaemonConfig, DirLock, EvictionPolicy, FleetRouter, PeerAddr,
     PerturbationKind, ServiceConfig, ServiceSnapshot, ShardedStore, SocketBackend, StatsReport,
     TcpBackend, TuningService, LOCK_TIMEOUT, SOCKET_FILE,
 };
@@ -635,52 +635,16 @@ fn stop(spec: &str) -> ExitCode {
     }
 }
 
-/// Folds a [`ServiceSnapshot`] into a metrics snapshot — the service's
-/// classic counters become `iolb_service_*` counters and the two live
-/// numbers become gauges, so one Prometheus page carries everything.
-fn snapshot_as_metrics(snap: &ServiceSnapshot) -> MetricsSnapshot {
-    let s = &snap.stats;
-    let counters = [
-        ("iolb_service_enqueued_total", s.enqueued),
-        ("iolb_service_speculative_enqueued_total", s.speculative_enqueued),
-        ("iolb_service_batch_enqueued_total", s.batch_enqueued),
-        ("iolb_service_background_tuned_total", s.background_tuned),
-        ("iolb_service_inline_tuned_total", s.inline_tuned),
-        ("iolb_service_shard_hits_total", s.shard_hits),
-        ("iolb_service_anchored_hits_total", s.anchored_hits),
-        ("iolb_service_transfer_retunes_total", s.transfer_retunes),
-        ("iolb_service_transfer_enqueued_total", s.transfer_enqueued),
-        ("iolb_service_stolen_total", s.stolen),
-        ("iolb_service_cancelled_speculative_total", s.cancelled_speculative),
-        ("iolb_service_budget_dropped_total", s.budget_dropped),
-        ("iolb_service_fresh_measurements_total", s.fresh_measurements),
-        ("iolb_service_cache_hits_total", s.cache_hits),
-        ("iolb_service_infeasible_total", s.infeasible),
-        ("iolb_service_batch_groups_total", s.batch_groups),
-        ("iolb_service_batch_requests_total", s.batch_requests),
-        ("iolb_service_batch_deduped_total", s.batch_deduped),
-        ("iolb_service_networks_served_total", s.networks_served),
-    ];
-    let mut extra = MetricsSnapshot::default();
-    for (name, value) in counters {
-        extra.counters.push((name.to_string(), value as u64));
-    }
-    extra.counters.sort();
-    extra.gauges.push(("iolb_budget_left".to_string(), snap.budget_left as u64));
-    extra.gauges.push(("iolb_queue_len".to_string(), snap.queue_len as u64));
-    extra
-}
-
 /// `metrics`: Prometheus-style text exposition. A directory target reads
 /// the offline stats sidecar (counters and gauges only — histograms live
 /// in the serving process); a socket or `tcp:HOST:PORT` target asks the
-/// live daemon, whose v3 `Stats` response carries the full registry,
+/// live daemon, whose `Stats` response carries the full registry,
 /// latency histograms included.
 fn metrics_cmd(target: &str) -> ExitCode {
     let path = Path::new(target);
     if path.is_dir() {
-        let snap = match ServiceSnapshot::load(path) {
-            Ok(Some(snap)) => snap,
+        let metrics = match load_stats(path) {
+            Ok(Some(metrics)) => metrics,
             Ok(None) => {
                 eprintln!(
                     "error: {} has no stats sidecar (written by save/sync/tune-net)",
@@ -693,7 +657,7 @@ fn metrics_cmd(target: &str) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        print!("{}", snapshot_as_metrics(&snap).to_prometheus());
+        print!("{}", metrics.to_prometheus());
         return ExitCode::SUCCESS;
     }
     let report: Result<StatsReport, String> = match PeerAddr::parse(target) {
@@ -706,9 +670,7 @@ fn metrics_cmd(target: &str) -> ExitCode {
     };
     match report {
         Ok(report) => {
-            let mut metrics = snapshot_as_metrics(&report.snapshot);
-            metrics.merge(&report.metrics);
-            print!("{}", metrics.to_prometheus());
+            print!("{}", report.metrics.to_prometheus());
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -1125,8 +1087,9 @@ fn load_sharded_or_exit(path: &Path) -> ShardedStore {
 /// the offline view of queue depth, remaining budget, session counters
 /// and speculation telemetry that used to be visible only in-process.
 fn print_sidecar(dir: &Path) {
-    match ServiceSnapshot::load(dir) {
-        Ok(Some(snap)) => {
+    match load_stats(dir) {
+        Ok(Some(metrics)) => {
+            let snap = ServiceSnapshot::from_metrics(&metrics);
             let s = &snap.stats;
             println!(
                 "service: queue depth {}, budget left {}, {} network(s) served \
@@ -1292,8 +1255,8 @@ fn serve_stats(dir: &Path, json: bool) -> ExitCode {
     }
     let sharded = load_sharded_or_exit(dir);
     if json {
-        let snap = match ServiceSnapshot::load(dir) {
-            Ok(snap) => snap.unwrap_or_default(),
+        let snap = match load_stats(dir) {
+            Ok(metrics) => ServiceSnapshot::from_metrics(&metrics.unwrap_or_default()),
             Err(e) => {
                 eprintln!("error: unreadable stats sidecar: {e}");
                 return ExitCode::FAILURE;

@@ -52,11 +52,12 @@
 //! without changing a line.
 
 use crate::fleet::PeerAddr;
-use crate::service::{ServiceSnapshot, TuningService};
+use crate::service::{save_stats, TuningService};
 use crate::session::{
     Backend, BackendError, BackendSession, StatsReport, SyncOutcome, TuneRequest,
 };
 use crate::shard::{DirLock, ShardLoadReport, ShardedStore};
+use crate::telemetry::MetricsSnapshot;
 use crate::wire::{self, Request, Response, WireError};
 use iolb_gpusim::DeviceSpec;
 use std::collections::BTreeMap;
@@ -329,7 +330,9 @@ impl Daemon {
             let interval = self.config.merge_interval;
             let evict = self.config.evict;
             std::thread::Builder::new().name("iolb-daemon-persist".into()).spawn(move || {
-                let mut last: Option<ServiceSnapshot> = None;
+                // The registry's counters and gauges as of the last
+                // successful flush: the persister's dirty check.
+                let mut last: Option<MetricsSnapshot> = None;
                 loop {
                     {
                         let guard = shared.gate.lock().expect("daemon gate poisoned");
@@ -365,11 +368,12 @@ impl Daemon {
                             service.telemetry().incr("iolb_evictions_total", dropped as u64);
                         }
                     }
-                    let snapshot = service.snapshot();
-                    if last != Some(snapshot) {
+                    let mut scalars = service.metrics();
+                    scalars.histograms.clear();
+                    if last.as_ref() != Some(&scalars) {
                         let (_, persisted) = persist(&service, &dir, &shared);
                         if persisted {
-                            last = Some(snapshot);
+                            last = Some(scalars);
                         }
                         // A failed flush leaves `last` stale, so the next
                         // tick retries instead of believing it succeeded.
@@ -429,9 +433,8 @@ impl Daemon {
                                 }
                             }
                         }
-                        // Absorbed records change the store but not the
-                        // ServiceSnapshot the interval persister diffs on,
-                        // so flush them explicitly.
+                        // Flush absorbed records now rather than on the
+                        // interval persister's next tick.
                         if absorbed > 0 {
                             persist(&service, &dir, &shared);
                         }
@@ -572,19 +575,12 @@ fn persist(service: &TuningService, dir: &Path, shared: &Shared) -> (usize, bool
     // One persist at a time: see `Shared::persist_gate`.
     let _serialized = shared.persist_gate.lock().expect("daemon persist gate poisoned");
     let started = std::time::Instant::now();
-    let (shards, snapshot) = {
+    let (shards, metrics) = {
         let st = service.lock();
-        (
-            st.shards.clone(),
-            ServiceSnapshot {
-                stats: st.stats,
-                queue_len: st.queue.len(),
-                budget_left: st.budget_left,
-            },
-        )
+        (st.shards.clone(), service.metrics_locked(&st))
     };
     let total = shards.len();
-    let persisted = match shards.save(dir).and_then(|()| snapshot.save(dir)) {
+    let persisted = match shards.save(dir).and_then(|()| save_stats(dir, &metrics)) {
         Ok(()) => {
             crate::log_event!(Info, "daemon.persisted", records = total, dir = dir.display());
             true
@@ -773,10 +769,7 @@ fn handle_connection(
                 let (total, persisted) = persist(service, dir, shared);
                 Response::Synced { persisted, total }
             }
-            Request::Stats => Response::Stats {
-                snapshot: Box::new(service.snapshot()),
-                metrics: service.metrics(),
-            },
+            Request::Stats => Response::Stats { metrics: service.metrics() },
             // Anti-entropy: ship a snapshot of the whole store; the
             // puller absorbs it (commutative union), so concurrent
             // tuning on either side is never lost, only re-merged.
@@ -954,9 +947,7 @@ impl<S: Read + Write> Backend for WireBackend<S> {
 
     fn stats(&self) -> Result<StatsReport, BackendError> {
         match self.call(&Request::Stats)? {
-            Response::Stats { snapshot, metrics } => {
-                Ok(StatsReport { snapshot: *snapshot, metrics })
-            }
+            Response::Stats { metrics } => Ok(metrics.into()),
             other => Err(BackendError::Protocol(format!("expected Stats, got {other:?}"))),
         }
     }

@@ -37,12 +37,12 @@
 //! `docs/OPERATIONS.md`.
 
 use crate::daemon::{SocketBackend, TcpBackend};
-use crate::service::{ServeResult, ServiceSnapshot};
+use crate::service::ServeResult;
 use crate::session::{
     Backend, BackendError, BackendSession, StatsReport, SyncOutcome, TuneRequest,
 };
 use crate::shard::fnv1a;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{MetricsSnapshot, Telemetry};
 use crate::wire::{Request, Response};
 use iolb_gpusim::DeviceSpec;
 use iolb_records::Workload;
@@ -448,32 +448,20 @@ impl Backend for FleetRouter {
         }
     }
 
-    /// Aggregates the fleet's counters: stats sum saturatingly across
-    /// live peers (dead peers contribute nothing); metric registries
-    /// merge by name (the order-free [`crate::telemetry::MetricsSnapshot::merge`],
-    /// so a peer missing a metric another peer has is fine), and the
-    /// router's own client-side registry rides along.
+    /// Aggregates the fleet's registries: live peers' metrics merge by
+    /// name (the order-free [`crate::telemetry::MetricsSnapshot::merge`]:
+    /// counters and gauges add, so a peer missing a metric another peer
+    /// has is fine; dead peers contribute nothing), the router's own
+    /// client-side registry rides along, and the typed snapshot is read
+    /// off the merge.
     fn stats(&self) -> Result<StatsReport, BackendError> {
-        let mut aggregate: Option<StatsReport> = None;
+        let mut aggregate: Option<MetricsSnapshot> = None;
         for peer in 0..self.inner.peers.len() {
             match self.call_peer(peer, &Request::Stats) {
-                Ok(Response::Stats { snapshot, metrics }) => {
-                    aggregate = Some(match aggregate.take() {
-                        None => StatsReport { snapshot: *snapshot, metrics },
-                        Some(mut acc) => {
-                            acc.snapshot = ServiceSnapshot {
-                                stats: acc.snapshot.stats.saturating_add(&snapshot.stats),
-                                queue_len: acc.snapshot.queue_len + snapshot.queue_len,
-                                budget_left: acc
-                                    .snapshot
-                                    .budget_left
-                                    .saturating_add(snapshot.budget_left),
-                            };
-                            acc.metrics.merge(&metrics);
-                            acc
-                        }
-                    });
-                }
+                Ok(Response::Stats { metrics }) => match aggregate.as_mut() {
+                    None => aggregate = Some(metrics),
+                    Some(acc) => acc.merge(&metrics),
+                },
                 Ok(other) => {
                     return Err(BackendError::Protocol(format!("expected Stats, got {other:?}")))
                 }
@@ -481,9 +469,9 @@ impl Backend for FleetRouter {
                 Err(CallFailure::PeerDown(_)) => {}
             }
         }
-        let mut report = aggregate.ok_or_else(no_live_peers)?;
-        report.metrics.merge(&self.inner.telemetry.snapshot());
-        Ok(report)
+        let mut metrics = aggregate.ok_or_else(no_live_peers)?;
+        metrics.merge(&self.inner.telemetry.snapshot());
+        Ok(metrics.into())
     }
 }
 

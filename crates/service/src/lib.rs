@@ -107,8 +107,8 @@ pub use queue::{
     io_gap, shape_perturbations, Job, JobTier, PerturbationKind, PushOutcome, WorkQueue,
 };
 pub use service::{
-    register, KindStats, ServeResult, ServeSource, ServiceConfig, ServiceSnapshot, ServiceStats,
-    TuningService, STATS_FILE,
+    load_stats, register, KindStats, ServeResult, ServeSource, ServiceConfig, ServiceSnapshot,
+    ServiceStats, TuningService, STATS_FILE,
 };
 pub use session::{
     Backend, BackendError, BackendSession, SessionHandle, StatsReport, SyncOutcome, TuneRequest,

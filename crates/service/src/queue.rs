@@ -69,7 +69,8 @@ impl PerturbationKind {
         }
     }
 
-    /// Stable human-readable tag (used by the stats sidecar and CLI).
+    /// Stable human-readable tag (the `kind` label of the speculation
+    /// counters, and the CLI).
     pub fn label(self) -> &'static str {
         match self {
             Self::CinHalved => "cin-halved",

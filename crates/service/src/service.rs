@@ -50,6 +50,25 @@
 //! counters are persisted in the stats sidecar and restored by
 //! [`TuningService::open`], so both the rates and the retirement
 //! decisions survive a service (or daemon) restart.
+//!
+//! ## Counters
+//!
+//! Every service counter — hits, steals, fresh measurements, per-tier
+//! enqueues, the per-kind speculation counts above — lives in one place:
+//! the service's [`Telemetry`] registry, as a named monotonic counter
+//! (`iolb_service_fresh_measurements_total`,
+//! `iolb_service_speculation_hits_total{kind="cin-halved"}`, …).
+//! [`ServiceStats`] is a typed read view built from a registry snapshot
+//! by [`ServiceStats::from_metrics`], the one place names map to fields.
+//! A pending job promoted to a stronger tier is counted as its own
+//! `iolb_queue_promotions_total{from,to}` counter, which the view nets
+//! out of the per-tier enqueue counts, so every counter stays monotonic.
+//! Queue depth and remaining budget are the `iolb_queue_len` and
+//! `iolb_budget_left` gauges, set whenever a snapshot is taken
+//! ([`TuningService::metrics`]). The stats sidecar ([`STATS_FILE`]) holds
+//! the registry's counters and gauges; [`TuningService::sync_dir`]
+//! merges them across processes with the registry's own
+//! [`MetricsSnapshot::delta`] and [`MetricsSnapshot::merge`].
 
 use crate::queue::{shape_perturbations, Job, JobTier, PerturbationKind, PushOutcome, WorkQueue};
 use crate::shard::{
@@ -62,6 +81,7 @@ use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_dataflow::config::ScheduleConfig;
 use iolb_gpusim::DeviceSpec;
+use iolb_records::jsonl::parse_flat_object;
 use iolb_records::RecordStore;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
@@ -201,7 +221,9 @@ pub struct KindStats {
     pub hits: usize,
 }
 
-/// Monotonic counters describing service activity.
+/// The service counters as typed fields: a read-only view of the
+/// [`Telemetry`] registry, built by [`from_metrics`](Self::from_metrics).
+/// The registry is the only store; nothing increments these fields.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Layer workloads enqueued by registration.
@@ -248,87 +270,112 @@ pub struct ServiceStats {
     /// probation runs on).
     pub networks_served: usize,
     /// Unique fused chains that passed the analytic fusion gate at
-    /// session submit (mirrors the `iolb_fused_blocks_total` metric).
+    /// session submit.
     pub fused_blocks: usize,
-    /// Unique fused chains the gate rewrote to their per-layer fallback
-    /// (mirrors `iolb_fusion_fallbacks_total`).
+    /// Unique fused chains the gate rewrote to their per-layer fallback.
     pub fusion_fallbacks: usize,
     /// Per-perturbation-kind speculation telemetry, indexed by
     /// [`PerturbationKind::index`].
     pub speculation: [KindStats; 4],
 }
 
+/// Every queue tier, for the promotion netting in
+/// [`ServiceStats::from_metrics`] (batch labels ignore the group).
+const TIERS: [JobTier; 4] =
+    [JobTier::Batch { group: 0 }, JobTier::Transfer, JobTier::Registered, JobTier::Neighbor];
+
+/// Registry counter of the jobs a tier's queue pushes added.
+fn enqueued_counter(tier: JobTier) -> &'static str {
+    match tier {
+        JobTier::Batch { .. } => "iolb_service_batch_enqueued_total",
+        JobTier::Transfer => "iolb_service_transfer_enqueued_total",
+        JobTier::Registered => "iolb_service_enqueued_total",
+        JobTier::Neighbor => "iolb_service_speculative_enqueued_total",
+    }
+}
+
+/// Registry counter of pending jobs promoted from one tier to another.
+fn promotion_counter(from: JobTier, to: JobTier) -> String {
+    format!("iolb_queue_promotions_total{{from=\"{}\",to=\"{}\"}}", from.label(), to.label())
+}
+
+/// Registry counter of one per-kind speculation quantity
+/// (`enqueued`, `tuned` or `hits`).
+pub(crate) fn speculation_counter(quantity: &str, kind: PerturbationKind) -> String {
+    format!("iolb_service_speculation_{quantity}_total{{kind=\"{}\"}}", kind.label())
+}
+
 impl ServiceStats {
+    /// Reads the typed view off a metrics snapshot: the one place that
+    /// maps registry counter names to fields. Missing counters read 0.
+    /// A tier's enqueue count is the jobs pushed at that tier plus the
+    /// pending jobs promoted into it, minus those promoted out of it.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        // Saturating throughout: a sidecar read from disk may hold any u64.
+        let count =
+            |name: &str| usize::try_from(metrics.counter(name).unwrap_or(0)).unwrap_or(usize::MAX);
+        let tier = |t: JobTier| {
+            let promoted = |from: JobTier, to: JobTier| count(&promotion_counter(from, to));
+            let promoted_in = TIERS.iter().fold(0, |n: usize, &f| n.saturating_add(promoted(f, t)));
+            let promoted_out =
+                TIERS.iter().fold(0, |n: usize, &to| n.saturating_add(promoted(t, to)));
+            count(enqueued_counter(t)).saturating_add(promoted_in).saturating_sub(promoted_out)
+        };
+        let mut speculation = [KindStats::default(); 4];
+        for kind in PerturbationKind::ALL {
+            speculation[kind.index()] = KindStats {
+                enqueued: count(&speculation_counter("enqueued", kind)),
+                tuned: count(&speculation_counter("tuned", kind)),
+                hits: count(&speculation_counter("hits", kind)),
+            };
+        }
+        Self {
+            enqueued: tier(JobTier::Registered),
+            speculative_enqueued: tier(JobTier::Neighbor),
+            batch_enqueued: tier(JobTier::Batch { group: 0 }),
+            background_tuned: count("iolb_service_background_tuned_total"),
+            inline_tuned: count("iolb_service_inline_tuned_total"),
+            shard_hits: count("iolb_service_shard_hits_total"),
+            stolen: count("iolb_service_stolen_total"),
+            anchored_hits: count("iolb_anchor_hits_total"),
+            transfer_retunes: count("iolb_transfer_retunes_total"),
+            transfer_enqueued: tier(JobTier::Transfer),
+            cancelled_speculative: count("iolb_service_cancelled_speculative_total"),
+            budget_dropped: count("iolb_service_budget_dropped_total"),
+            fresh_measurements: count("iolb_service_fresh_measurements_total"),
+            cache_hits: count("iolb_service_cache_hits_total"),
+            infeasible: count("iolb_service_infeasible_total"),
+            batch_groups: count("iolb_service_batch_groups_total"),
+            batch_requests: count("iolb_service_batch_requests_total"),
+            batch_deduped: count("iolb_service_batch_deduped_total"),
+            networks_served: count("iolb_sessions_total"),
+            fused_blocks: count("iolb_fused_blocks_total"),
+            fusion_fallbacks: count("iolb_fusion_fallbacks_total"),
+            speculation,
+        }
+    }
+
     /// Telemetry of one perturbation kind.
     pub fn speculation_of(&self, kind: PerturbationKind) -> KindStats {
         self.speculation[kind.index()]
     }
-
-    /// Applies `f` to every counter of `self`, paired with the same
-    /// counter of `other` — one field list shared by
-    /// [`saturating_delta`](Self::saturating_delta) and
-    /// [`saturating_add`](Self::saturating_add), so the two can never
-    /// drift when a counter is added.
-    fn zip_counters(&mut self, other: &ServiceStats, f: &impl Fn(&mut usize, usize)) {
-        f(&mut self.enqueued, other.enqueued);
-        f(&mut self.speculative_enqueued, other.speculative_enqueued);
-        f(&mut self.batch_enqueued, other.batch_enqueued);
-        f(&mut self.background_tuned, other.background_tuned);
-        f(&mut self.inline_tuned, other.inline_tuned);
-        f(&mut self.shard_hits, other.shard_hits);
-        f(&mut self.stolen, other.stolen);
-        f(&mut self.anchored_hits, other.anchored_hits);
-        f(&mut self.transfer_retunes, other.transfer_retunes);
-        f(&mut self.transfer_enqueued, other.transfer_enqueued);
-        f(&mut self.cancelled_speculative, other.cancelled_speculative);
-        f(&mut self.budget_dropped, other.budget_dropped);
-        f(&mut self.fresh_measurements, other.fresh_measurements);
-        f(&mut self.cache_hits, other.cache_hits);
-        f(&mut self.infeasible, other.infeasible);
-        f(&mut self.batch_groups, other.batch_groups);
-        f(&mut self.batch_requests, other.batch_requests);
-        f(&mut self.batch_deduped, other.batch_deduped);
-        f(&mut self.networks_served, other.networks_served);
-        f(&mut self.fused_blocks, other.fused_blocks);
-        f(&mut self.fusion_fallbacks, other.fusion_fallbacks);
-        for kind in PerturbationKind::ALL {
-            let at = kind.index();
-            f(&mut self.speculation[at].enqueued, other.speculation[at].enqueued);
-            f(&mut self.speculation[at].tuned, other.speculation[at].tuned);
-            f(&mut self.speculation[at].hits, other.speculation[at].hits);
-        }
-    }
-
-    /// Counter-wise `self - baseline` (saturating): what this process
-    /// contributed since `baseline` was captured. Used by
-    /// [`TuningService::sync_dir`] to merge telemetry additively across
-    /// processes instead of last-writer-wins.
-    pub fn saturating_delta(mut self, baseline: &ServiceStats) -> ServiceStats {
-        self.zip_counters(baseline, &|mine, theirs| *mine = mine.saturating_sub(theirs));
-        self
-    }
-
-    /// Counter-wise `self + other` (saturating).
-    pub fn saturating_add(mut self, other: &ServiceStats) -> ServiceStats {
-        self.zip_counters(other, &|mine, theirs| *mine = mine.saturating_add(theirs));
-        self
-    }
 }
 
 /// File name of the stats sidecar a [`TuningService::save`] /
-/// [`TuningService::sync_dir`] writes next to the manifest, so
-/// `tune-cache serve-stats` can report queue depth, remaining budget and
-/// speculation telemetry from a directory instead of only in-process.
-pub const STATS_FILE: &str = "service-stats.tsv";
+/// [`TuningService::sync_dir`] writes next to the manifest: the
+/// registry's counters and gauges, so `tune-cache serve-stats` and
+/// `tune-cache metrics` can report them from a directory. (Histograms
+/// stay in process memory.) An older `service-stats.tsv` is never read.
+pub const STATS_FILE: &str = "service-stats.jsonl";
 
 /// Version tag of the stats sidecar. Foreign versions are ignored
 /// whole (stale telemetry is worse than none).
-pub const STATS_VERSION: u32 = 1;
+pub const STATS_VERSION: u32 = 2;
 
-/// A point-in-time export of a service's observable state: the counters
-/// plus the two live numbers ([`queue_len`](TuningService::queue_len),
-/// [`budget_left`](TuningService::budget_left)) that previously were
-/// visible only in-process.
+/// A point-in-time export of a service's observable state: the counter
+/// view plus the two live numbers ([`queue_len`](TuningService::queue_len),
+/// [`budget_left`](TuningService::budget_left)), which the registry
+/// carries as the `iolb_queue_len` and `iolb_budget_left` gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     pub stats: ServiceStats,
@@ -337,134 +384,58 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
-    /// Canonical TSV serialization (deterministic field order).
-    pub fn to_tsv(&self) -> String {
-        let s = &self.stats;
-        let mut out = format!("# iolb-service stats v{STATS_VERSION}\n");
-        for (key, value) in [
-            ("enqueued", s.enqueued),
-            ("speculative_enqueued", s.speculative_enqueued),
-            ("batch_enqueued", s.batch_enqueued),
-            ("background_tuned", s.background_tuned),
-            ("inline_tuned", s.inline_tuned),
-            ("shard_hits", s.shard_hits),
-            ("stolen", s.stolen),
-            ("anchored_hits", s.anchored_hits),
-            ("transfer_retunes", s.transfer_retunes),
-            ("transfer_enqueued", s.transfer_enqueued),
-            ("cancelled_speculative", s.cancelled_speculative),
-            ("budget_dropped", s.budget_dropped),
-            ("fresh_measurements", s.fresh_measurements),
-            ("cache_hits", s.cache_hits),
-            ("infeasible", s.infeasible),
-            ("batch_groups", s.batch_groups),
-            ("batch_requests", s.batch_requests),
-            ("batch_deduped", s.batch_deduped),
-            ("networks_served", s.networks_served),
-            ("fused_blocks", s.fused_blocks),
-            ("fusion_fallbacks", s.fusion_fallbacks),
-            ("queue_len", self.queue_len),
-            ("budget_left", self.budget_left),
-        ] {
-            out.push_str(&format!("{key}\t{value}\n"));
+    /// Reads the view off a metrics snapshot (see
+    /// [`ServiceStats::from_metrics`]).
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        let gauge =
+            |name: &str| usize::try_from(metrics.gauge(name).unwrap_or(0)).unwrap_or(usize::MAX);
+        Self {
+            stats: ServiceStats::from_metrics(metrics),
+            queue_len: gauge("iolb_queue_len"),
+            budget_left: gauge("iolb_budget_left"),
         }
-        for kind in PerturbationKind::ALL {
-            let k = s.speculation[kind.index()];
-            out.push_str(&format!(
-                "speculation\t{}\t{}\t{}\t{}\n",
-                kind.label(),
-                k.enqueued,
-                k.tuned,
-                k.hits
-            ));
-        }
-        out
     }
+}
 
-    /// Parses the sidecar, tolerantly: unknown keys are skipped, missing
-    /// keys stay zero. Returns `None` for a foreign version header.
-    pub fn from_tsv(text: &str) -> Option<Self> {
-        let mut snap = Self::default();
-        for line in text.lines() {
-            let line = line.trim_end();
-            if let Some(version) = line.strip_prefix("# iolb-service stats v") {
-                if version.trim().parse::<u32>() != Ok(STATS_VERSION) {
-                    return None;
-                }
-                continue;
-            }
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields.as_slice() {
-                [key, value] => {
-                    let Ok(v) = value.parse::<usize>() else { continue };
-                    let s = &mut snap.stats;
-                    match *key {
-                        "enqueued" => s.enqueued = v,
-                        "speculative_enqueued" => s.speculative_enqueued = v,
-                        "batch_enqueued" => s.batch_enqueued = v,
-                        "background_tuned" => s.background_tuned = v,
-                        "inline_tuned" => s.inline_tuned = v,
-                        "shard_hits" => s.shard_hits = v,
-                        "stolen" => s.stolen = v,
-                        "anchored_hits" => s.anchored_hits = v,
-                        "transfer_retunes" => s.transfer_retunes = v,
-                        "transfer_enqueued" => s.transfer_enqueued = v,
-                        "cancelled_speculative" => s.cancelled_speculative = v,
-                        "budget_dropped" => s.budget_dropped = v,
-                        "fresh_measurements" => s.fresh_measurements = v,
-                        "cache_hits" => s.cache_hits = v,
-                        "infeasible" => s.infeasible = v,
-                        "batch_groups" => s.batch_groups = v,
-                        "batch_requests" => s.batch_requests = v,
-                        "batch_deduped" => s.batch_deduped = v,
-                        "networks_served" => s.networks_served = v,
-                        "fused_blocks" => s.fused_blocks = v,
-                        "fusion_fallbacks" => s.fusion_fallbacks = v,
-                        "queue_len" => snap.queue_len = v,
-                        "budget_left" => snap.budget_left = v,
-                        _ => {}
-                    }
-                }
-                ["speculation", label, enqueued, tuned, hits] => {
-                    let Some(kind) = PerturbationKind::from_label(label) else { continue };
-                    let parse = |t: &str| t.parse::<usize>().unwrap_or(0);
-                    snap.stats.speculation[kind.index()] = KindStats {
-                        enqueued: parse(enqueued),
-                        tuned: parse(tuned),
-                        hits: parse(hits),
-                    };
-                }
-                _ => {}
-            }
-        }
-        Some(snap)
+/// Writes the counters and gauges of `metrics` as a directory's stats
+/// sidecar (atomically): a version header, then the `stats` wire
+/// frame's scalar lines.
+pub(crate) fn save_stats(dir: &Path, metrics: &MetricsSnapshot) -> std::io::Result<()> {
+    let mut text = format!(
+        "{{\"schema\":\"iolb-service-stats\",\"v\":{STATS_VERSION},\"c\":{},\"g\":{}}}\n",
+        metrics.counters.len(),
+        metrics.gauges.len()
+    );
+    crate::wire::encode_scalar_lines(metrics, &mut text);
+    std::fs::create_dir_all(dir)?;
+    let tmp = dir.join(format!("{STATS_FILE}.tmp.{}", std::process::id()));
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(text.as_bytes())?;
+        f.sync_all()?;
     }
+    std::fs::rename(tmp, dir.join(STATS_FILE))
+}
 
-    /// Writes the sidecar into a shard directory (atomically).
-    pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{STATS_FILE}.tmp.{}", std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_tsv().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(tmp, dir.join(STATS_FILE))
+/// Loads a directory's stats sidecar: counters and gauges, no
+/// histograms. `None` when there is no sidecar, or when it is not the
+/// current version or does not parse — it is then ignored whole.
+pub fn load_stats(dir: impl AsRef<Path>) -> std::io::Result<Option<MetricsSnapshot>> {
+    let path = dir.as_ref().join(STATS_FILE);
+    if !path.exists() {
+        return Ok(None);
     }
-
-    /// Loads the sidecar from a shard directory, if one exists and has
-    /// the current version.
-    pub fn load(dir: impl AsRef<Path>) -> std::io::Result<Option<Self>> {
-        let path = dir.as_ref().join(STATS_FILE);
-        if !path.exists() {
-            return Ok(None);
-        }
-        Ok(Self::from_tsv(&std::fs::read_to_string(path)?))
+    let text = std::fs::read_to_string(path)?;
+    let mut lines = text.lines();
+    let Some(Ok(head)) = lines.next().map(parse_flat_object) else { return Ok(None) };
+    let field = |key: &str| head.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let tagged = |key: &str| field(key).and_then(|v| v.as_usize(key).ok());
+    let schema = field("schema").and_then(|v| v.as_str("schema").ok());
+    if schema != Some("iolb-service-stats") || tagged("v") != Some(STATS_VERSION as usize) {
+        return Ok(None);
     }
+    let (Some(counters), Some(gauges)) = (tagged("c"), tagged("g")) else { return Ok(None) };
+    Ok(crate::wire::decode_scalar_lines(&mut lines, counters, gauges).ok())
 }
 
 pub(crate) struct State {
@@ -481,43 +452,10 @@ pub(crate) struct State {
     pub(crate) speculative_origin: BTreeMap<String, PerturbationKind>,
     pub(crate) budget_left: usize,
     pub(crate) next_group: u64,
-    pub(crate) stats: ServiceStats,
-    /// The counters as of the last [`TuningService::sync_dir`] (or the
-    /// values restored at open): `stats - last_synced` is what this
-    /// process still owes the shared sidecar.
-    pub(crate) last_synced: ServiceStats,
-}
-
-impl State {
-    /// Re-books a promoted queue entry's counters under its new tier,
-    /// and counts the speculation hit when a neighbor prediction is
-    /// absorbed into a *client* batch (the guess came true before the
-    /// neighbor was even tuned). Shared by every promotion site so the
-    /// stats cannot drift between the registration and session paths.
-    pub(crate) fn rebook_promotion(
-        &mut self,
-        from: JobTier,
-        to: JobTier,
-        perturbation: Option<PerturbationKind>,
-    ) {
-        match from {
-            JobTier::Batch { .. } => self.stats.batch_enqueued -= 1,
-            JobTier::Transfer => self.stats.transfer_enqueued -= 1,
-            JobTier::Registered => self.stats.enqueued -= 1,
-            JobTier::Neighbor => self.stats.speculative_enqueued -= 1,
-        }
-        match to {
-            JobTier::Batch { .. } => self.stats.batch_enqueued += 1,
-            JobTier::Transfer => self.stats.transfer_enqueued += 1,
-            JobTier::Registered => self.stats.enqueued += 1,
-            JobTier::Neighbor => self.stats.speculative_enqueued += 1,
-        }
-        if matches!(to, JobTier::Batch { .. }) {
-            if let Some(kind) = perturbation {
-                self.stats.speculation[kind.index()].hits += 1;
-            }
-        }
-    }
+    /// The registry counters as of the last [`TuningService::sync_dir`]
+    /// (or the values restored at open): the counter-wise delta from
+    /// here is what this process still owes the shared sidecar.
+    pub(crate) last_synced: MetricsSnapshot,
 }
 
 pub(crate) struct Inner {
@@ -554,8 +492,7 @@ impl TuningService {
                     speculative_origin: BTreeMap::new(),
                     budget_left,
                     next_group: 0,
-                    stats: ServiceStats::default(),
-                    last_synced: ServiceStats::default(),
+                    last_synced: MetricsSnapshot::default(),
                 }),
                 changed: Condvar::new(),
                 config,
@@ -565,8 +502,8 @@ impl TuningService {
     }
 
     /// Opens (or initializes) a service over a shard directory. The
-    /// stats sidecar, if any, is folded into the live counters, so
-    /// telemetry — speculation hit rates, probation retirement, the
+    /// stats sidecar's counters, if any, are restored into the registry,
+    /// so telemetry — speculation hit rates, probation retirement, the
     /// served-network clock — survives a restart instead of resetting
     /// every time a daemon or `tune-net` process reopens the directory.
     /// Queue depth and remaining budget are *not* restored: pending work
@@ -579,21 +516,15 @@ impl TuningService {
         let dir = dir.as_ref();
         let (shards, report) = ShardedStore::load(dir)?;
         let service = Self::new(shards, config);
-        if let Some(snapshot) = ServiceSnapshot::load(dir)? {
-            service.adopt_stats(snapshot.stats);
+        if let Some(persisted) = load_stats(dir)? {
+            // The restored counters are also the sync baseline: a later
+            // sync_dir contributes only what this process adds on top.
+            for (name, value) in &persisted.counters {
+                service.inner.telemetry.incr(name, *value);
+            }
+            service.lock().last_synced = persisted;
         }
         Ok((service, report))
-    }
-
-    /// Replaces the live counters with previously persisted ones (the
-    /// restart-restore path of [`open`](Self::open) and the daemon).
-    /// The restored values also become the sync baseline: a later
-    /// [`sync_dir`](Self::sync_dir) contributes only what *this*
-    /// process added on top of them.
-    pub(crate) fn adopt_stats(&self, stats: ServiceStats) {
-        let mut st = self.lock();
-        st.stats = stats;
-        st.last_synced = stats;
     }
 
     pub fn config(&self) -> ServiceConfig {
@@ -604,9 +535,9 @@ impl TuningService {
         self.inner.state.lock().expect("service state poisoned")
     }
 
-    /// Current counters (a snapshot).
+    /// Current counters, read off the registry.
     pub fn stats(&self) -> ServiceStats {
-        self.lock().stats
+        ServiceStats::from_metrics(&self.inner.telemetry.snapshot())
     }
 
     /// Pending (not yet claimed) jobs.
@@ -621,8 +552,7 @@ impl TuningService {
 
     /// The full observable state in one consistent snapshot.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let st = self.lock();
-        ServiceSnapshot { stats: st.stats, queue_len: st.queue.len(), budget_left: st.budget_left }
+        ServiceSnapshot::from_metrics(&self.metrics())
     }
 
     /// The service's metrics registry (shared with the daemon when this
@@ -631,10 +561,20 @@ impl TuningService {
         &self.inner.telemetry
     }
 
-    /// A point-in-time copy of the metrics registry — what the v3 wire
-    /// `Stats` response carries beside the counter snapshot.
+    /// A point-in-time copy of the metrics registry — what the wire
+    /// `Stats` response carries — with the `iolb_queue_len` and
+    /// `iolb_budget_left` gauges set from the live state.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.telemetry.snapshot()
+        self.metrics_locked(&self.lock())
+    }
+
+    /// [`metrics`](Self::metrics) under a held state lock, so the
+    /// gauges and every counter bumped under the lock agree.
+    pub(crate) fn metrics_locked(&self, st: &State) -> MetricsSnapshot {
+        let telemetry = &self.inner.telemetry;
+        telemetry.gauge("iolb_queue_len", st.queue.len() as u64);
+        telemetry.gauge("iolb_budget_left", st.budget_left as u64);
+        telemetry.snapshot()
     }
 
     /// A deep copy of the shards. Held lock time is the clone only, so
@@ -657,27 +597,22 @@ impl TuningService {
     /// instant.
     pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
         let dir = dir.as_ref();
-        let (shards, snapshot) = {
+        let (shards, metrics) = {
             let st = self.lock();
-            (
-                st.shards.clone(),
-                ServiceSnapshot {
-                    stats: st.stats,
-                    queue_len: st.queue.len(),
-                    budget_left: st.budget_left,
-                },
-            )
+            (st.shards.clone(), self.metrics_locked(&st))
         };
         let _lock = DirLock::acquire(dir, self.inner.config.lock_timeout)?;
         shards.save(dir)?;
-        snapshot.save(dir)
+        save_stats(dir, &metrics)
     }
 
     /// Cross-process persistence: under one hold of the directory's
     /// advisory lock, merges this service's records into the directory
     /// (union semantics — nothing any other process wrote is lost) and
-    /// folds this process's counter *deltas since its last sync* into
-    /// the stats sidecar. Counters merge additively, so N concurrent
+    /// folds this process's counter *deltas since its last sync*
+    /// ([`MetricsSnapshot::delta`]) into the sidecar's counters with the
+    /// registry's count-conserving [`MetricsSnapshot::merge`]. Counters
+    /// merge additively, so N concurrent
     /// `tune-net` processes each contribute their telemetry instead of
     /// the last writer erasing the others' — which matters now that
     /// [`open`](Self::open) restores the sidecar into live state.
@@ -691,22 +626,19 @@ impl TuningService {
         let shards = self.lock().shards.clone();
         let _lock = DirLock::acquire(dir, self.inner.config.lock_timeout)?;
         let report = shards.merge_into_dir_locked(dir)?;
-        let disk = ServiceSnapshot::load(dir)?.map(|s| s.stats).unwrap_or_default();
-        let (snapshot, previous_baseline) = {
+        let disk = load_stats(dir)?.unwrap_or_default();
+        let (merged, previous_baseline) = {
             let mut st = self.lock();
-            let delta = st.stats.saturating_delta(&st.last_synced);
-            let previous = st.last_synced;
-            st.last_synced = st.stats;
-            (
-                ServiceSnapshot {
-                    stats: disk.saturating_add(&delta),
-                    queue_len: st.queue.len(),
-                    budget_left: st.budget_left,
-                },
-                previous,
-            )
+            let current = self.metrics_locked(&st);
+            let mut merged = MetricsSnapshot {
+                counters: disk.counters,
+                gauges: current.gauges.clone(),
+                histograms: Vec::new(),
+            };
+            merged.merge(&current.delta(&st.last_synced));
+            (merged, std::mem::replace(&mut st.last_synced, current))
         };
-        if let Err(e) = snapshot.save(dir) {
+        if let Err(e) = save_stats(dir, &merged) {
             // The delta never landed: roll the baseline back so the next
             // sync re-contributes it.
             self.lock().last_synced = previous_baseline;
@@ -745,14 +677,14 @@ impl TuningService {
         // The priority is a pure function of the workload: compute it
         // before taking the lock (it enumerates tile spaces).
         let gap = crate::queue::io_gap(shape, kind, device);
-        let grew = Self::enqueue_locked(&mut self.lock(), job, gap);
+        let grew = self.enqueue_locked(&mut self.lock(), job, gap);
         if grew {
             self.inner.changed.notify_all();
         }
         grew
     }
 
-    pub(crate) fn enqueue_locked(st: &mut State, job: Job, gap: f64) -> bool {
+    pub(crate) fn enqueue_locked(&self, st: &mut State, job: Job, gap: f64) -> bool {
         let fingerprint = job.fingerprint();
         if !st.shards.records(&job.workload()).is_empty()
             || st.in_flight.contains(&fingerprint)
@@ -764,24 +696,43 @@ impl TuningService {
         let perturbation = job.perturbation;
         match st.queue.push(job, gap) {
             PushOutcome::Added => {
-                match tier {
-                    JobTier::Batch { .. } => st.stats.batch_enqueued += 1,
-                    JobTier::Transfer => st.stats.transfer_enqueued += 1,
-                    JobTier::Registered => st.stats.enqueued += 1,
-                    JobTier::Neighbor => {
-                        st.stats.speculative_enqueued += 1;
-                        if let Some(kind) = perturbation {
-                            st.stats.speculation[kind.index()].enqueued += 1;
-                        }
-                    }
-                }
+                self.count_enqueued(tier, perturbation);
                 true
             }
             PushOutcome::Promoted { from, perturbation: displaced } => {
-                st.rebook_promotion(from, tier, displaced);
+                self.count_promotion(from, tier, displaced);
                 false
             }
             PushOutcome::AlreadyPending => false,
+        }
+    }
+
+    /// Counts a job a queue push added at `tier` (and a neighbor job's
+    /// enqueue under its perturbation kind).
+    pub(crate) fn count_enqueued(&self, tier: JobTier, perturbation: Option<PerturbationKind>) {
+        let telemetry = &self.inner.telemetry;
+        telemetry.incr(enqueued_counter(tier), 1);
+        if let (JobTier::Neighbor, Some(kind)) = (tier, perturbation) {
+            telemetry.incr(&speculation_counter("enqueued", kind), 1);
+        }
+    }
+
+    /// Counts a pending job's promotion to a stronger tier (the view
+    /// re-books it from the old tier's enqueue count to the new one's),
+    /// and the speculation hit when a neighbor prediction is absorbed
+    /// into a *client* batch (the guess came true before the neighbor
+    /// was even tuned). Shared by every promotion site so the counts
+    /// cannot drift between the registration and session paths.
+    pub(crate) fn count_promotion(
+        &self,
+        from: JobTier,
+        to: JobTier,
+        perturbation: Option<PerturbationKind>,
+    ) {
+        let telemetry = &self.inner.telemetry;
+        telemetry.incr(&promotion_counter(from, to), 1);
+        if let (JobTier::Batch { .. }, Some(kind)) = (to, perturbation) {
+            telemetry.incr(&speculation_counter("hits", kind), 1);
         }
     }
 
@@ -888,7 +839,7 @@ impl TuningService {
         {
             let mut st = self.lock();
             for (job, gap) in jobs {
-                added += usize::from(Self::enqueue_locked(&mut st, job, gap));
+                added += usize::from(self.enqueue_locked(&mut st, job, gap));
             }
         }
         if added > 0 {
@@ -957,7 +908,7 @@ impl TuningService {
             if st.budget_left == 0 {
                 let dropped = st.queue.clear_droppable();
                 if dropped > 0 {
-                    st.stats.budget_dropped += dropped;
+                    self.inner.telemetry.incr("iolb_service_budget_dropped_total", dropped as u64);
                     self.inner.changed.notify_all();
                 }
             }
@@ -997,20 +948,21 @@ impl TuningService {
         st.in_flight.remove(&fingerprint);
         match outcome {
             Some((out, private)) => {
-                st.stats.background_tuned += 1;
-                st.stats.fresh_measurements += out.fresh_measurements;
-                st.stats.cache_hits += out.cache_hits;
+                telemetry.incr("iolb_service_background_tuned_total", 1);
+                telemetry
+                    .incr("iolb_service_fresh_measurements_total", out.fresh_measurements as u64);
+                telemetry.incr("iolb_service_cache_hits_total", out.cache_hits as u64);
                 if job.tier.droppable() {
                     st.budget_left = st.budget_left.saturating_sub(out.fresh_measurements);
                 }
                 if let (JobTier::Neighbor, Some(kind)) = (job.tier, job.perturbation) {
-                    st.stats.speculation[kind.index()].tuned += 1;
+                    telemetry.incr(&speculation_counter("tuned", kind), 1);
                     st.speculative_origin.insert(fingerprint, kind);
                 }
                 st.shards.merge_flat(private);
             }
             None => {
-                st.stats.infeasible += 1;
+                telemetry.incr("iolb_service_infeasible_total", 1);
                 st.infeasible.insert(fingerprint);
             }
         }
@@ -1440,20 +1392,73 @@ mod tests {
         assert_eq!(stats.cancelled_speculative, 1);
     }
 
+    /// The directory's sidecar, read through the typed view.
+    fn sidecar(dir: &Path) -> Option<ServiceSnapshot> {
+        load_stats(dir).unwrap().map(|metrics| ServiceSnapshot::from_metrics(&metrics))
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "iolb-service-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
-    fn snapshot_sidecar_round_trips_and_tolerates_noise() {
+    fn stats_sidecar_round_trips_counters_and_gauges() {
+        let dir = scratch_dir("sidecar-codec");
         let service = TuningService::new(ShardedStore::new(), small_config());
         service.register_network(&shapes(), &device());
         service.tune_or_wait(&shapes()[0], TileKind::Direct, &device()).unwrap();
-        let snap = service.snapshot();
+        service.save(&dir).unwrap();
+        let mut expected = service.metrics();
+        expected.histograms.clear();
+        assert_eq!(load_stats(&dir).unwrap(), Some(expected), "counters and gauges, no histograms");
+        let snap = sidecar(&dir).unwrap();
+        assert_eq!(snap, service.snapshot());
         assert_eq!(snap.queue_len, 1);
-        let parsed = ServiceSnapshot::from_tsv(&snap.to_tsv()).unwrap();
-        assert_eq!(parsed, snap);
-        // Unknown keys and junk lines are skipped, not fatal.
-        let noisy = format!("{}unknown_key\t5\nnot a line\n", snap.to_tsv());
-        assert_eq!(ServiceSnapshot::from_tsv(&noisy).unwrap(), snap);
-        // Foreign versions are ignored whole.
-        assert!(ServiceSnapshot::from_tsv("# iolb-service stats v999\nenqueued\t3\n").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_v1_tsv_sidecar_is_ignored_and_the_directory_opens_with_zero_counters() {
+        let dir = scratch_dir("sidecar-v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("service-stats.tsv"),
+            "# iolb-service stats v1\nenqueued\t3\nfresh_measurements\t99\n\
+             speculation\tcin-halved\t4\t2\t1\n",
+        )
+        .unwrap();
+        let (service, report) = TuningService::open(&dir, small_config()).unwrap();
+        assert!(report.is_clean(), "warnings: {:?}", report.warnings);
+        assert_eq!(service.stats(), ServiceStats::default());
+        assert!(service.metrics().counters.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_foreign_sidecar_version_is_ignored_whole() {
+        let dir = scratch_dir("sidecar-foreign");
+        let service = TuningService::new(ShardedStore::new(), small_config());
+        service.tune_or_wait(&shapes()[0], TileKind::Direct, &device()).unwrap();
+        service.save(&dir).unwrap();
+        assert!(sidecar(&dir).is_some());
+        let path = dir.join(STATS_FILE);
+        let current = std::fs::read_to_string(&path).unwrap();
+        let foreign = current.replacen(&format!("\"v\":{STATS_VERSION}"), "\"v\":999", 1);
+        assert_ne!(foreign, current);
+        std::fs::write(&path, foreign).unwrap();
+        assert_eq!(load_stats(&dir).unwrap(), None);
+        let (reopened, _) = TuningService::open(&dir, small_config()).unwrap();
+        assert_eq!(reopened.stats(), ServiceStats::default(), "nothing of it is restored");
+        // A damaged current-version sidecar is ignored the same way.
+        std::fs::write(&path, current.lines().next().unwrap()).unwrap();
+        assert_eq!(load_stats(&dir).unwrap(), None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1472,7 +1477,7 @@ mod tests {
         let neighbor = ConvShape { cin: 16, ..shapes()[0] };
         service.tune_or_wait(&neighbor, TileKind::Direct, &device()).unwrap();
         service.save(&dir).unwrap();
-        let sidecar = ServiceSnapshot::load(&dir).unwrap().expect("sidecar written by save");
+        let sidecar = sidecar(&dir).expect("sidecar written by save");
         assert_eq!(sidecar.stats, service.stats());
         assert_eq!(sidecar.queue_len, 0);
         assert_eq!(sidecar.budget_left, service.budget_left());
@@ -1507,7 +1512,7 @@ mod tests {
         b.sync_dir(&dir).unwrap();
         // The sidecar holds the SUM of both writers' counters, not the
         // last writer's view.
-        let snap = ServiceSnapshot::load(&dir).unwrap().expect("sidecar written");
+        let snap = sidecar(&dir).expect("sidecar written");
         assert_eq!(
             snap.stats.fresh_measurements,
             a.stats().fresh_measurements + b.stats().fresh_measurements
@@ -1515,7 +1520,7 @@ mod tests {
         assert_eq!(snap.stats.background_tuned, 2);
         // Re-syncing without new activity contributes nothing.
         a.sync_dir(&dir).unwrap();
-        let again = ServiceSnapshot::load(&dir).unwrap().unwrap();
+        let again = sidecar(&dir).unwrap();
         assert_eq!(again.stats, snap.stats, "idempotent re-sync");
         // A service opened from the directory restores the merged view
         // and contributes only what it adds on top.
@@ -1523,7 +1528,7 @@ mod tests {
         assert_eq!(reopened.stats(), snap.stats);
         reopened.tune_or_wait(&shapes()[0], TileKind::Direct, &device()).unwrap();
         reopened.sync_dir(&dir).unwrap();
-        let after = ServiceSnapshot::load(&dir).unwrap().unwrap();
+        let after = sidecar(&dir).unwrap();
         assert_eq!(after.stats.shard_hits, snap.stats.shard_hits + 1);
         assert_eq!(after.stats.fresh_measurements, snap.stats.fresh_measurements);
         let _ = std::fs::remove_dir_all(&dir);

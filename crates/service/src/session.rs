@@ -37,7 +37,9 @@
 //! [`wait`]: SessionHandle::wait
 
 use crate::queue::{io_gap, transfer_admissible, Job, JobTier, PushOutcome};
-use crate::service::{ServeResult, ServeSource, ServiceSnapshot, State, TuningService};
+use crate::service::{
+    speculation_counter, ServeResult, ServeSource, ServiceSnapshot, State, TuningService,
+};
 use crate::telemetry::MetricsSnapshot;
 use iolb_autotune::engine::tune_batch;
 use iolb_autotune::fusion::fusion_gate;
@@ -198,15 +200,6 @@ impl TuningSession {
         // uses, so the two layers can never disagree on what counts as
         // a duplicate.
         let (unique, representative) = dedup_requests(&batch_requests, &self.device);
-        if !fused_chains.is_empty() {
-            service.inner.telemetry.incr("iolb_fused_blocks_total", fused_chains.len() as u64);
-        }
-        if !fallback_chains.is_empty() {
-            service
-                .inner
-                .telemetry
-                .incr("iolb_fusion_fallbacks_total", fallback_chains.len() as u64);
-        }
         let mut members: Vec<Member> = unique
             .iter()
             .map(|req| {
@@ -239,11 +232,13 @@ impl TuningSession {
         // re-cost also run outside the lock.
         let (group, needs_gap, donors) = {
             let mut st = service.lock();
-            st.stats.batch_groups += 1;
-            st.stats.batch_requests += requests.len();
-            st.stats.batch_deduped += requests.len() - members.len();
-            st.stats.fused_blocks += fused_chains.len();
-            st.stats.fusion_fallbacks += fallback_chains.len();
+            let telemetry = &service.inner.telemetry;
+            telemetry.incr("iolb_service_batch_groups_total", 1);
+            telemetry.incr("iolb_service_batch_requests_total", requests.len() as u64);
+            telemetry
+                .incr("iolb_service_batch_deduped_total", (requests.len() - members.len()) as u64);
+            telemetry.incr("iolb_fused_blocks_total", fused_chains.len() as u64);
+            telemetry.incr("iolb_fusion_fallbacks_total", fallback_chains.len() as u64);
             let group = st.next_group;
             st.next_group += 1;
             // A fingerprint that is merely *queued* (a pending transfer
@@ -323,7 +318,7 @@ impl TuningSession {
             for ((member, gap), anchor) in members.iter_mut().zip(gaps).zip(anchor_evals) {
                 if !st.shards.records(&member.workload).is_empty() {
                     member.resolution = Some(Resolution::Hit);
-                    confirm_speculation(&mut st, &member.fingerprint);
+                    confirm_speculation(service, &mut st, &member.fingerprint);
                     continue;
                 }
                 if st.infeasible.contains(&member.fingerprint) {
@@ -358,11 +353,11 @@ impl TuningSession {
                         };
                         match st.queue.push(job, gap) {
                             PushOutcome::Added => {
-                                st.stats.transfer_enqueued += 1;
+                                service.count_enqueued(JobTier::Transfer, None);
                                 pushed = true;
                             }
                             PushOutcome::Promoted { from, perturbation } => {
-                                st.rebook_promotion(from, JobTier::Transfer, perturbation);
+                                service.count_promotion(from, JobTier::Transfer, perturbation);
                             }
                             PushOutcome::AlreadyPending => {}
                         }
@@ -385,15 +380,15 @@ impl TuningSession {
                 };
                 match st.queue.push(job, gap) {
                     PushOutcome::Added => {
-                        st.stats.batch_enqueued += 1;
+                        service.count_enqueued(JobTier::Batch { group }, None);
                         pushed = true;
                     }
                     PushOutcome::Promoted { from, perturbation } => {
                         // A pending background duplicate was absorbed
                         // into this session — the batch-path "cancel the
                         // speculative duplicate".
-                        st.rebook_promotion(from, JobTier::Batch { group }, perturbation);
-                        st.stats.cancelled_speculative += 1;
+                        service.count_promotion(from, JobTier::Batch { group }, perturbation);
+                        service.inner.telemetry.incr("iolb_service_cancelled_speculative_total", 1);
                         member.cancelled_speculative = true;
                     }
                     PushOutcome::AlreadyPending => {
@@ -472,17 +467,22 @@ pub struct SyncOutcome {
     pub total: usize,
 }
 
-/// What [`Backend::stats`] reports: the counter snapshot every backend
-/// has carried since v1, plus the metrics registry (latency histograms,
-/// counters, gauges) the v3 wire protocol added. For a fleet the report
-/// is the order-free merge across live peers ([`ServiceStats`]
-/// counters add saturating; histograms merge bucket-wise).
-///
-/// [`ServiceStats`]: crate::service::ServiceStats
+/// What [`Backend::stats`] reports: the metrics registry (counters,
+/// gauges, latency histograms) and the typed [`ServiceSnapshot`] view
+/// read off it. For a fleet the registry is the order-free merge across
+/// live peers (counters and gauges add; histograms merge bucket-wise)
+/// and the view is read off the merge.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsReport {
     pub snapshot: ServiceSnapshot,
     pub metrics: MetricsSnapshot,
+}
+
+impl From<MetricsSnapshot> for StatsReport {
+    /// Reads the typed snapshot off the registry it travels with.
+    fn from(metrics: MetricsSnapshot) -> Self {
+        Self { snapshot: ServiceSnapshot::from_metrics(&metrics), metrics }
+    }
 }
 
 /// Transport-independent face of the tuning service: everything the
@@ -551,7 +551,7 @@ impl Backend for TuningService {
     }
 
     fn stats(&self) -> Result<StatsReport, BackendError> {
-        Ok(StatsReport { snapshot: self.snapshot(), metrics: self.metrics() })
+        Ok(self.metrics().into())
     }
 }
 
@@ -570,9 +570,9 @@ impl BackendSession for SessionHandle {
 }
 
 /// A client request confirmed a speculated workload: count the hit once.
-fn confirm_speculation(st: &mut State, fingerprint: &str) {
+fn confirm_speculation(service: &TuningService, st: &mut State, fingerprint: &str) {
     if let Some(kind) = st.speculative_origin.remove(fingerprint) {
-        st.stats.speculation[kind.index()].hits += 1;
+        service.inner.telemetry.incr(&speculation_counter("hits", kind), 1);
     }
 }
 
@@ -641,7 +641,7 @@ impl SessionHandle {
                     }
                     if !st.shards.records(&member.workload).is_empty() {
                         member.resolution = Some(Resolution::Stolen);
-                        confirm_speculation(&mut st, &member.fingerprint);
+                        confirm_speculation(&self.service, &mut st, &member.fingerprint);
                         continue;
                     }
                     if st.infeasible.contains(&member.fingerprint) {
@@ -716,35 +716,43 @@ impl SessionHandle {
             }
         };
         st.shards.merge_flat(batch.store);
+        let (mut tuned, mut fresh, mut cache_hits, mut infeasible) = (0, 0, 0, 0);
         for ((at, _), result) in claimed.iter().zip(batch.results) {
             let member = &mut self.members[*at];
             match result {
                 Some(out) => {
-                    st.stats.inline_tuned += 1;
-                    st.stats.fresh_measurements += out.fresh_measurements;
-                    st.stats.cache_hits += out.cache_hits;
+                    tuned += 1;
+                    fresh += out.fresh_measurements;
+                    cache_hits += out.cache_hits;
                     member.resolution = Some(Resolution::Inline {
                         fresh_measurements: out.fresh_measurements,
                         cache_hits: out.cache_hits,
                     });
                 }
                 None => {
-                    st.stats.infeasible += 1;
+                    infeasible += 1;
                     st.infeasible.insert(member.fingerprint.clone());
                     member.resolution = Some(Resolution::Infeasible);
                 }
             }
         }
+        let telemetry = &self.service.inner.telemetry;
+        telemetry.incr("iolb_service_inline_tuned_total", tuned);
+        telemetry.incr("iolb_service_fresh_measurements_total", fresh as u64);
+        telemetry.incr("iolb_service_cache_hits_total", cache_hits as u64);
+        telemetry.incr("iolb_service_infeasible_total", infeasible);
         drop(st);
         self.service.inner.changed.notify_all();
     }
 
-    /// Builds the per-request results under the final lock.
+    /// Builds the per-request results under the final lock. Per-request
+    /// outcomes are tallied here and counted with one registry bump per
+    /// counter, not one per request.
     fn collect(&self, mut st: MutexGuard<'_, State>) -> Vec<Option<ServeResult>> {
-        st.stats.networks_served += 1;
-        let telemetry = self.service.inner.telemetry.clone();
+        let telemetry = &self.service.inner.telemetry;
         telemetry.observe_since("iolb_session_us", self.started);
         telemetry.incr("iolb_sessions_total", 1);
+        let (mut shard_hits, mut stolen, mut anchored, mut retunes) = (0, 0, 0, 0);
         let mut out = Vec::with_capacity(self.requests.len());
         for &(at, first) in &self.requests {
             let member = &self.members[at];
@@ -757,12 +765,8 @@ impl SessionHandle {
                 // Anchored members (and their fan-out duplicates) replay
                 // the transferred config; the store holds no record for
                 // this exact fingerprint, so there is nothing to touch.
-                st.stats.anchored_hits += 1;
-                telemetry.incr("iolb_anchor_hits_total", 1);
-                if retune {
-                    st.stats.transfer_retunes += 1;
-                    telemetry.incr("iolb_transfer_retunes_total", 1);
-                }
+                anchored += 1;
+                retunes += u64::from(retune);
                 crate::log_event!(
                     Debug,
                     "session.result",
@@ -786,16 +790,16 @@ impl SessionHandle {
                 st.shards.best(&member.workload).expect("resolved member has records").clone();
             let (source, fresh_measurements, cache_hits) = if !first {
                 // Fan-out duplicate: replays its representative's record.
-                st.stats.shard_hits += 1;
+                shard_hits += 1;
                 (ServeSource::ShardHit, 0, 0)
             } else {
                 match resolution {
                     Resolution::Hit => {
-                        st.stats.shard_hits += 1;
+                        shard_hits += 1;
                         (ServeSource::ShardHit, 0, 0)
                     }
                     Resolution::Stolen => {
-                        st.stats.stolen += 1;
+                        stolen += 1;
                         (ServeSource::Stolen, 0, 0)
                     }
                     Resolution::Inline { fresh_measurements, cache_hits } => (
@@ -831,6 +835,10 @@ impl SessionHandle {
                 fused: !member.epilogue.is_none(),
             }));
         }
+        telemetry.incr("iolb_service_shard_hits_total", shard_hits);
+        telemetry.incr("iolb_service_stolen_total", stolen);
+        telemetry.incr("iolb_anchor_hits_total", anchored);
+        telemetry.incr("iolb_transfer_retunes_total", retunes);
         out
     }
 }

@@ -4,9 +4,11 @@
 //! The serving paths ([`crate::service`], [`crate::daemon`],
 //! [`crate::fleet`]) are instrumented with a [`Telemetry`] registry —
 //! monotonic counters, gauges, and fixed-bucket [`LatencyHistogram`]s —
-//! whose snapshots travel over the wire inside the v3 `Stats` response
-//! and surface through `tune-cache metrics` (Prometheus-style text
-//! exposition) and `tune-cache serve-stats --json`.
+//! whose snapshots travel over the wire as the `Stats` response and
+//! surface through `tune-cache metrics` (Prometheus-style text
+//! exposition) and `tune-cache serve-stats --json`. The registry is the
+//! only store of service counters; [`crate::ServiceStats`] is a typed
+//! read of it.
 //!
 //! Two properties carry the design:
 //!
@@ -141,7 +143,7 @@ pub struct HistogramSnapshot {
     pub histogram: LatencyHistogram,
 }
 
-/// A point-in-time copy of a [`Telemetry`] registry: the thing the v3
+/// A point-in-time copy of a [`Telemetry`] registry: the thing the
 /// `Stats` wire message carries and `tune-cache metrics` renders. Names
 /// are sorted, so encodes are canonical.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -176,6 +178,23 @@ impl MetricsSnapshot {
         }
     }
 
+    /// Counter-wise `self - base` (saturating), keeping only the
+    /// counters that grew: what was counted since `base` was taken.
+    /// Gauges and histograms are not counters and are left out. For
+    /// `base <= self` pointwise, `base.merge(&self.delta(&base))`
+    /// restores `self` — the algebra cross-process sidecar syncs rely on.
+    pub fn delta(&self, base: &MetricsSnapshot) -> MetricsSnapshot {
+        let counters = self
+            .counters
+            .iter()
+            .filter_map(|(name, value)| {
+                let grown = value.saturating_sub(base.counter(name).unwrap_or(0));
+                (grown > 0).then(|| (name.clone(), grown))
+            })
+            .collect();
+        MetricsSnapshot { counters, ..MetricsSnapshot::default() }
+    }
+
     /// Looks up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         self.histograms.iter().find(|h| h.name == name).map(|h| &h.histogram)
@@ -184,6 +203,11 @@ impl MetricsSnapshot {
     /// Looks up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+    }
+
+    /// Looks up a gauge by name.
+    pub fn gauge(&self, name: &str) -> Option<u64> {
+        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
     /// Prometheus-style text exposition: `# TYPE` lines, cumulative
@@ -240,11 +264,20 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Adds to a monotonic counter.
+    /// Adds to a monotonic counter. Only the first bump of a name
+    /// allocates; later bumps update in place. A zero bump is a no-op,
+    /// so a counter's name appears once something actually happened.
     pub fn incr(&self, name: &str, by: u64) {
+        if by == 0 {
+            return;
+        }
         let mut reg = self.inner.lock().expect("telemetry registry poisoned");
-        let slot = reg.counters.entry(name.to_string()).or_insert(0);
-        *slot = slot.saturating_add(by);
+        match reg.counters.get_mut(name) {
+            Some(slot) => *slot = slot.saturating_add(by),
+            None => {
+                reg.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
     /// Sets a gauge to its current value.

@@ -24,7 +24,7 @@
 //! | `Submit { device, requests }` | `Submitted { session, unique }` |
 //! | `Wait { session }` | `Results { results }` |
 //! | `Sync` | `Synced { persisted, total }` |
-//! | `Stats` | `Stats { snapshot, metrics }` |
+//! | `Stats` | `Stats { metrics }` |
 //! | `Pull` | `State { store }` |
 //! | `Shutdown` | `Bye` |
 //!
@@ -38,7 +38,7 @@
 //! protocol spec lives in `docs/PROTOCOL.md`; CI checks that document's
 //! frame constants against this file.
 
-use crate::service::{ServeResult, ServeSource, ServiceSnapshot};
+use crate::service::{ServeResult, ServeSource};
 use crate::session::TuneRequest;
 use crate::shard::ShardedStore;
 use crate::telemetry::{HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
@@ -59,10 +59,12 @@ use std::io::{Read, Write};
 /// (anchored transfer serving); version 5 added fused operator chains —
 /// submit request lines carry an optional `epi` epilogue tag and every
 /// serve result carries a `fused` flag marking gate-approved fused
-/// chains. Version-1 through version-4 peers alike are rejected with
-/// [`WireError::ForeignVersion`] rather than served a grammar they
-/// cannot fully speak.
-pub const WIRE_VERSION: u32 = 5;
+/// chains; version 6 dropped the `Stats` response's `tsv` counter
+/// snapshot — the metrics registry is the only store of service
+/// counters, so the frame carries it alone. Version-1 through version-5
+/// peers alike are rejected with [`WireError::ForeignVersion`] rather
+/// than served a grammar they cannot fully speak.
+pub const WIRE_VERSION: u32 = 6;
 
 /// Hard ceiling on a frame payload. A VGG-scale submit is a few KiB;
 /// anything claiming megabytes is hostile or corrupt and is rejected
@@ -130,7 +132,7 @@ pub enum Request {
     Wait { session: u64 },
     /// Flush the daemon's shard directory now.
     Sync,
-    /// Snapshot the daemon's counters.
+    /// Snapshot the daemon's metrics registry.
     Stats,
     /// Replicate: send me your full in-memory store state (records, LRU
     /// stamps, logical clock). The anti-entropy request peers exchange.
@@ -139,9 +141,9 @@ pub enum Request {
     Shutdown,
 }
 
-/// A daemon-to-client message. The stats snapshot is boxed: it is by
-/// far the largest variant and would otherwise bloat every `Response`
-/// on the stack (clippy's `large_enum_variant`).
+/// A daemon-to-client message. The store state is boxed: it is by far
+/// the largest variant and would otherwise bloat every `Response` on the
+/// stack (clippy's `large_enum_variant`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     Submitted {
@@ -155,10 +157,10 @@ pub enum Response {
         persisted: bool,
         total: usize,
     },
-    /// Counter snapshot plus the metrics registry (v3: counters, gauges
-    /// and latency-histogram snapshots ride beside the TSV sidecar).
+    /// The metrics registry: counters, gauges and latency-histogram
+    /// snapshots. Clients read the typed service view off it with
+    /// [`crate::service::ServiceSnapshot::from_metrics`].
     Stats {
-        snapshot: Box<ServiceSnapshot>,
         metrics: MetricsSnapshot,
     },
     /// Full store state answering a [`Request::Pull`]: the receiver
@@ -566,17 +568,14 @@ pub fn encode_response_into(resp: &Response, out: &mut String) {
                 u8::from(*persisted)
             ));
         }
-        Response::Stats { snapshot, metrics } => {
+        Response::Stats { metrics } => {
             out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"stats\",\"tsv\":\"{}\",\"c\":{},\"g\":{},\"h\":{}}}\n",
-                escape(&snapshot.to_tsv()),
+                "{{\"v\":{WIRE_VERSION},\"type\":\"stats\",\"c\":{},\"g\":{},\"h\":{}}}\n",
                 metrics.counters.len(),
                 metrics.gauges.len(),
                 metrics.histograms.len(),
             ));
-            for (name, value) in metrics.counters.iter().chain(metrics.gauges.iter()) {
-                out.push_str(&format!("{{\"k\":\"{}\",\"val\":{value}}}\n", escape(name)));
-            }
+            encode_scalar_lines(metrics, out);
             for h in &metrics.histograms {
                 let buckets: Vec<String> =
                     h.histogram.buckets().iter().map(u64::to_string).collect();
@@ -625,6 +624,40 @@ pub fn encode_response_into(resp: &Response, out: &mut String) {
     }
 }
 
+/// Appends one `{"k":NAME,"val":N}` line per counter, then one per
+/// gauge: the scalar-line encoding shared by the `stats` frame and the
+/// stats sidecar ([`crate::service::STATS_FILE`]).
+pub(crate) fn encode_scalar_lines(metrics: &MetricsSnapshot, out: &mut String) {
+    for (name, value) in metrics.counters.iter().chain(metrics.gauges.iter()) {
+        out.push_str(&format!("{{\"k\":\"{}\",\"val\":{value}}}\n", escape(name)));
+    }
+}
+
+/// Reads `counters` counter lines, then `gauges` gauge lines — the
+/// inverse of [`encode_scalar_lines`]. Missing or malformed lines are
+/// typed errors.
+pub(crate) fn decode_scalar_lines<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    counters: usize,
+    gauges: usize,
+) -> Result<MetricsSnapshot, WireError> {
+    let total = counters.saturating_add(gauges);
+    let mut metrics = MetricsSnapshot::default();
+    for i in 0..total {
+        let line = lines.next().ok_or_else(|| {
+            WireError::Malformed(format!("stats frame ends after {i} of {total} metric(s)"))
+        })?;
+        let fields = Fields::parse(line)?;
+        let scalar = (fields.str("k")?.to_string(), fields.u64("val")?);
+        if i < counters {
+            metrics.counters.push(scalar);
+        } else {
+            metrics.gauges.push(scalar);
+        }
+    }
+    Ok(metrics)
+}
+
 /// Parses a response payload. Never panics on hostile input.
 pub fn decode_response(payload: &str) -> Result<Response, WireError> {
     let mut lines = payload.lines().filter(|l| !l.trim().is_empty());
@@ -650,24 +683,8 @@ pub fn decode_response(payload: &str) -> Result<Response, WireError> {
             Response::Synced { persisted: head.u64("persisted")? != 0, total: head.usize("total")? }
         }
         "stats" => {
-            let snapshot = ServiceSnapshot::from_tsv(head.str("tsv")?).ok_or_else(|| {
-                WireError::Malformed("stats payload carries a foreign sidecar version".into())
-            })?;
             let (c, g, h) = (head.usize("c")?, head.usize("g")?, head.usize("h")?);
-            let mut metrics = MetricsSnapshot::default();
-            let mut scalar_line = |i: usize, total: usize| {
-                let line = lines.next().ok_or_else(|| {
-                    WireError::Malformed(format!("stats frame ends after {i} of {total} metric(s)"))
-                })?;
-                let fields = Fields::parse(line)?;
-                Ok::<(String, u64), WireError>((fields.str("k")?.to_string(), fields.u64("val")?))
-            };
-            for i in 0..c {
-                metrics.counters.push(scalar_line(i, c)?);
-            }
-            for i in 0..g {
-                metrics.gauges.push(scalar_line(i, g)?);
-            }
+            let mut metrics = decode_scalar_lines(&mut lines, c, g)?;
             for i in 0..h {
                 let line = lines.next().ok_or_else(|| {
                     WireError::Malformed(format!("stats frame ends after {i} of {h} histogram(s)"))
@@ -688,7 +705,7 @@ pub fn decode_response(payload: &str) -> Result<Response, WireError> {
                     .histograms
                     .push(HistogramSnapshot { name: fields.str("k")?.to_string(), histogram });
             }
-            Response::Stats { snapshot: Box::new(snapshot), metrics }
+            Response::Stats { metrics }
         }
         "state" => {
             let n = head.usize("n")?;
@@ -907,11 +924,6 @@ mod tests {
 
     #[test]
     fn responses_round_trip_bit_exactly() {
-        let snapshot = ServiceSnapshot {
-            stats: crate::service::ServiceStats { fresh_measurements: 42, ..Default::default() },
-            queue_len: 3,
-            budget_left: 17,
-        };
         let telemetry = crate::telemetry::Telemetry::new();
         telemetry.incr("iolb_sessions_total", 5);
         telemetry.gauge("iolb_daemon_open_connections", 2);
@@ -941,11 +953,8 @@ mod tests {
                 ],
             },
             Response::Synced { persisted: true, total: 99 },
-            Response::Stats { snapshot: Box::new(snapshot), metrics: telemetry.snapshot() },
-            Response::Stats {
-                snapshot: Box::new(ServiceSnapshot::default()),
-                metrics: MetricsSnapshot::default(),
-            },
+            Response::Stats { metrics: telemetry.snapshot() },
+            Response::Stats { metrics: MetricsSnapshot::default() },
             Response::State { store: Box::new(sample_store()) },
             Response::State { store: Box::new(ShardedStore::new()) },
             Response::Bye,
@@ -1022,6 +1031,18 @@ mod tests {
         // And the writer refuses to emit one.
         let huge = vec![b'x'; MAX_FRAME_BYTES + 1];
         assert!(matches!(write_frame(&mut Vec::new(), &huge), Err(WireError::Oversized { .. })));
+    }
+
+    #[test]
+    fn stats_frames_claiming_more_metrics_than_they_carry_are_malformed() {
+        let max = usize::MAX;
+        for (c, g) in [(max, 1), (1, max), (2, 0)] {
+            let payload = format!(
+                "{{\"v\":{WIRE_VERSION},\"type\":\"stats\",\"c\":{c},\"g\":{g},\"h\":0}}\n\
+                 {{\"k\":\"iolb_sessions_total\",\"val\":1}}\n"
+            );
+            assert!(matches!(decode_response(&payload), Err(WireError::Malformed(_))));
+        }
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! and commutative, conserves the exact observation count, and quantile
 //! readouts depend only on the merged bucket counts — never on the
 //! order the parts arrived in. These are the algebraic facts the fleet
-//! stats aggregation and the v3 `Stats` wire message lean on.
+//! stats aggregation and the `Stats` wire message lean on — plus the
+//! counter delta/merge algebra the stats sidecar's cross-process sync
+//! relies on.
 
 use iolb_service::{HistogramSnapshot, LatencyHistogram, MetricsSnapshot, NUM_BUCKETS};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Builds a histogram from drawn bucket counts (padded/truncated to the
 /// fixed arity). Bounded counts keep saturating adds exact, so the
@@ -17,6 +20,15 @@ fn histogram_from(draws: &[u64]) -> LatencyHistogram {
     }
     let sum = buckets.iter().sum::<u64>().saturating_mul(3);
     LatencyHistogram::from_parts(sum, &buckets).expect("fixed arity")
+}
+
+/// A counters-only snapshot from name -> value pairs, names sorted as a
+/// registry snapshot yields them.
+fn counters(values: &BTreeMap<String, u64>) -> MetricsSnapshot {
+    MetricsSnapshot {
+        counters: values.iter().map(|(n, v)| (n.clone(), *v)).collect(),
+        ..MetricsSnapshot::default()
+    }
 }
 
 fn merged(a: &LatencyHistogram, b: &LatencyHistogram) -> LatencyHistogram {
@@ -125,6 +137,65 @@ proptest! {
         prop_assert_eq!(ab.counter("both"), Some(ya + xb));
         prop_assert_eq!(ab.counter("alpha"), Some(xa));
         prop_assert_eq!(ab.counter("beta"), Some(xb));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For counter snapshots with `base <= cur` pointwise (a registry's
+    /// counters only ever grow, and every name starts at >= 1),
+    /// `merge(base, delta(cur, base)) == cur`: a sync that folds the
+    /// delta into the copy it was taken against reproduces the live
+    /// counters exactly.
+    #[test]
+    fn delta_then_merge_restores_the_current_counters(
+        draws in prop::collection::vec(
+            (0u32..26, 1u64..1_000_000_000, 0u64..=100, any::<bool>()),
+            0..12,
+        ),
+    ) {
+        let mut cur = BTreeMap::new();
+        let mut base = BTreeMap::new();
+        for &(n, value, percent, in_base) in &draws {
+            let name = format!("iolb_counter_{n:02}");
+            if cur.contains_key(&name) {
+                continue;
+            }
+            cur.insert(name.clone(), value);
+            if in_base {
+                base.insert(name, value / 100 * percent);
+            }
+        }
+        let (cur, base) = (counters(&cur), counters(&base));
+        let delta = cur.delta(&base);
+        prop_assert!(delta.gauges.is_empty() && delta.histograms.is_empty());
+        let mut restored = base.clone();
+        restored.merge(&delta);
+        prop_assert_eq!(restored, cur);
+    }
+
+    /// `delta(x, x)` is empty, so merging it leaves any snapshot as it
+    /// was: an idle re-sync adds nothing.
+    #[test]
+    fn delta_of_a_snapshot_with_itself_adds_nothing(
+        x in prop::collection::vec((0u32..26, 1u64..1_000_000_000), 0..10),
+        y in prop::collection::vec((0u32..26, 0u64..1_000_000_000), 0..10),
+        gauge in 0u64..1_000,
+        h in prop::collection::vec(0u64..1_000_000, NUM_BUCKETS),
+    ) {
+        let named = |draws: &[(u32, u64)]| -> BTreeMap<String, u64> {
+            draws.iter().map(|&(n, v)| (format!("iolb_counter_{n:02}"), v)).collect()
+        };
+        let mut x = counters(&named(&x));
+        x.gauges.push(("iolb_queue_len".into(), gauge));
+        x.histograms.push(HistogramSnapshot { name: "h".into(), histogram: histogram_from(&h) });
+        let delta = x.delta(&x);
+        prop_assert_eq!(&delta, &MetricsSnapshot::default());
+        let y = counters(&named(&y));
+        let mut merged = y.clone();
+        merged.merge(&delta);
+        prop_assert_eq!(merged, y);
     }
 }
 

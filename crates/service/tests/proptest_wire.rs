@@ -182,9 +182,10 @@ proptest! {
         }
     }
 
-    /// v3 `Stats` frames round-trip an arbitrary metrics registry —
-    /// counters, gauges, and full histogram bucket vectors — alongside
-    /// the service snapshot, exactly. This pins the acceptance bar that
+    /// `Stats` frames round-trip an arbitrary metrics registry —
+    /// counters, gauges, and full histogram bucket vectors — exactly,
+    /// and the service snapshot read off the decoded registry equals the
+    /// one read off the sent registry. This pins the acceptance bar that
     /// histogram readouts fetched over the wire equal the in-process
     /// registry.
     #[test]
@@ -220,26 +221,27 @@ proptest! {
             .collect();
         hists.sort_by(|a, b| a.name.cmp(&b.name));
         hists.dedup_by(|a, b| a.name == b.name);
-        let metrics = MetricsSnapshot {
-            counters: named(&counters),
-            gauges: named(&gauges),
-            histograms: hists,
-        };
+        let mut counters = named(&counters);
+        counters.push(("iolb_service_fresh_measurements_total".into(), fresh as u64));
+        counters.sort();
+        let mut gauges = named(&gauges);
+        gauges.push(("iolb_budget_left".into(), (queue_len / 2) as u64));
+        gauges.push(("iolb_queue_len".into(), queue_len as u64));
+        gauges.sort();
+        let metrics = MetricsSnapshot { counters, gauges, histograms: hists };
         let snapshot = ServiceSnapshot {
             stats: ServiceStats { fresh_measurements: fresh, ..Default::default() },
             queue_len,
             budget_left: queue_len / 2,
         };
-        let response = Response::Stats {
-            snapshot: Box::new(snapshot),
-            metrics: metrics.clone(),
-        };
+        prop_assert_eq!(ServiceSnapshot::from_metrics(&metrics), snapshot);
+        let response = Response::Stats { metrics: metrics.clone() };
         let mut frame = Vec::new();
         wire::write_response(&mut frame, &response).expect("encode stats");
         let mut cursor = std::io::Cursor::new(frame);
         match read_response(&mut cursor).expect("read stats back") {
-            Response::Stats { snapshot: got_snap, metrics: got_metrics } => {
-                prop_assert_eq!(*got_snap, snapshot);
+            Response::Stats { metrics: got_metrics } => {
+                prop_assert_eq!(ServiceSnapshot::from_metrics(&got_metrics), snapshot);
                 prop_assert_eq!(got_metrics, metrics);
             }
             other => prop_assert!(false, "expected Stats, got {other:?}"),
@@ -249,14 +251,15 @@ proptest! {
 
 /// Previous protocol revisions are rejected whole by both sides —
 /// a v2 peer (pre-histogram `Stats`), a v3 peer (pre-anchor serve
-/// source) or a v4 peer (pre-fusion: no `epi` request field, no `fused`
-/// result flag) must get a clean [`WireError::ForeignVersion`], not a
-/// partially-understood message, from the request decoder and the
+/// source), a v4 peer (pre-fusion: no `epi` request field, no `fused`
+/// result flag) or a v5 peer (a `Stats` frame carrying the `tsv`
+/// counter snapshot) must get a clean [`WireError::ForeignVersion`],
+/// not a partially-understood message, from the request decoder and the
 /// response decoder alike.
 #[test]
 fn stale_wire_versions_are_rejected_by_both_decoders() {
-    assert_eq!(WIRE_VERSION, 5, "update this pin when the protocol rolls");
-    for stale in [2u64, 3, 4] {
+    assert_eq!(WIRE_VERSION, 6, "update this pin when the protocol rolls");
+    for stale in [2u64, 3, 4, 5] {
         for kind in ["sync", "stats", "shutdown"] {
             let payload = format!("{{\"v\":{stale},\"type\":\"{kind}\"}}");
             match wire::decode_request(&payload) {

@@ -281,7 +281,7 @@ fn concurrent_socket_clients_share_one_tuning_run() {
 
 /// ISSUE 7 acceptance pin: histogram readouts fetched over the wire
 /// equal the in-process registry. An embedded service runs a session;
-/// its live `StatsReport` is pushed through the v3 codec and the
+/// its live `StatsReport` is pushed through the wire codec and the
 /// decoded metrics must match the registry snapshot field-for-field,
 /// bucket-for-bucket.
 #[test]
@@ -306,14 +306,14 @@ fn wire_stats_equal_in_process_registry() {
     assert_eq!(session_us.count(), 1, "one session ran");
     assert_eq!(report.metrics.counter("iolb_sessions_total"), Some(1));
 
-    let response =
-        Response::Stats { snapshot: Box::new(report.snapshot), metrics: report.metrics.clone() };
+    let response = Response::Stats { metrics: report.metrics.clone() };
     let mut frame = Vec::new();
     wire::write_response(&mut frame, &response).unwrap();
     let mut cursor = std::io::Cursor::new(frame);
     match wire::read_response(&mut cursor).unwrap() {
-        Response::Stats { snapshot, metrics } => {
-            assert_eq!(*snapshot, report.snapshot, "snapshot survives the wire");
+        Response::Stats { metrics } => {
+            let snapshot = conv_iolb::service::ServiceSnapshot::from_metrics(&metrics);
+            assert_eq!(snapshot, report.snapshot, "snapshot survives the wire");
             assert_eq!(metrics, report.metrics, "registry survives the wire exactly");
         }
         other => panic!("expected Stats, got {other:?}"),
